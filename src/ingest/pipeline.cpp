@@ -81,6 +81,10 @@ void IngestPipeline::feed(std::span<const std::uint8_t> chunk) {
     active_->feed({head_, head_len_}, decompressed_sink_);
   }
   if (!chunk.empty()) active_->feed(chunk, decompressed_sink_);
+  // Drain-driven batching: every record this read completed is journaled
+  // and tapped before feed() returns. One emission per read, so batch
+  // size follows the read size (capped by batch_capacity).
+  converter_.flush(batch_sink_);
 }
 
 void IngestPipeline::on_batch(std::span<const feeds::Observation> batch) {

@@ -4,6 +4,8 @@
 // sniffs the compression from the stream's magic bytes, pushes chunks
 // through a reused ChunkDecompressor, feeds the decompressed MRT bytes to
 // the streaming ObservationConverter, and appends the resulting batches —
+// each feed() ends by emitting its partial batch and batch_capacity
+// caps the rest, so batch size follows the read size —
 // all in O(chunk) memory, allocation-free once warm (the decompressors,
 // the converter's scratch and the writer's buffer are all recycled across
 // sources; tests/detection_alloc_test.cpp pins it).
@@ -101,7 +103,10 @@ class IngestPipeline {
   void begin_source(std::uint64_t skip_observations = 0);
 
   /// Pushes transport bytes (an HTTP body chunk, a file slice). Safe to
-  /// call with any chunking, including one byte at a time.
+  /// call with any chunking, including one byte at a time. Latency
+  /// contract: every record the chunk completes is journaled and passed
+  /// to the detection tap before feed() returns; a record split across
+  /// reads is emitted by the read that completes it, never earlier.
   void feed(std::span<const std::uint8_t> chunk);
 
   /// Ends the source stream: drains the decompressor and the converter's

@@ -356,11 +356,27 @@ void JournalWriter::resume_existing() {
 }
 
 JournalWriter::~JournalWriter() {
+  // Destructors must not throw; a failed final flush loses buffered
+  // records, which the durability model already allows for crashes —
+  // but never silently: count them and say so once. A close() that
+  // fails after the flush (fsync, sidecar, seal) drops no buffered record.
+  const auto report = [this](const char* what) noexcept {
+    const std::uint64_t lost = records_buffered();
+    if (lost > 0) {
+      if (metrics_.lost_records != nullptr) metrics_.lost_records->add(lost);
+      std::fprintf(stderr, "journal: final close of %s failed (%s); %llu buffered records lost\n",
+                   dir_.c_str(), what, static_cast<unsigned long long>(lost));
+    } else {
+      std::fprintf(stderr, "journal: final close of %s failed (%s); no records lost\n",
+                   dir_.c_str(), what);
+    }
+  };
   try {
     close();
+  } catch (const std::exception& e) {
+    report(e.what());
   } catch (...) {
-    // Destructors must not throw; a failed final flush loses buffered
-    // records, which the durability model already allows for crashes.
+    report("unknown error");
   }
 }
 

@@ -59,7 +59,8 @@ struct ObservationConvertOptions {
   SimDuration delivery_lag = SimDuration::seconds(0);
   /// Emit threshold: batches flush to the sink once they reach this many
   /// observations (always at a record boundary, so the last batch of a
-  /// file may be short and a huge record may overshoot).
+  /// file may be short and a huge record may overshoot). Callers that
+  /// flush() after every chunk (IngestPipeline) see it only as a cap.
   std::size_t batch_capacity = 4096;
 };
 
@@ -106,6 +107,13 @@ class ObservationConverter {
             const feeds::ObservationBatchHandler& sink);
   ConvertFileStats finish_file(const feeds::ObservationBatchHandler& sink);
 
+  /// Emits the pending partial batch (every complete record converted so
+  /// far) to `sink`; no-op when nothing is pending. Batches still end on
+  /// record boundaries: a record straddling chunks stays in the carry.
+  /// A live source calls this after each transport read so a record is
+  /// delivered by the read that completes it, not when a batch fills.
+  void flush(const feeds::ObservationBatchHandler& sink);
+
   std::uint64_t observations_emitted() const { return emitted_; }
   std::size_t source_table_size() const { return sources_.size(); }
   /// Current value of the monotone import clock (microseconds).
@@ -128,7 +136,6 @@ class ObservationConverter {
   /// Appends one observation slot with the shared per-record fields set.
   feeds::Observation& slot(feeds::ObservationType type, bgp::Asn peer,
                            std::int64_t event_us);
-  void flush(const feeds::ObservationBatchHandler& sink);
 
   /// Converts one complete record (`total` bytes starting at the common
   /// header). Returns false when a hard decode error stopped the file.

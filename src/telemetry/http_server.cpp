@@ -16,13 +16,30 @@
 namespace artemis::telemetry {
 namespace {
 
-bool send_all(int fd, const void* data, std::size_t size) {
+using Clock = std::chrono::steady_clock;
+
+/// Total time one connection may take, request read and response write
+/// together; a slower client is cut off so the next scrape is served.
+constexpr std::chrono::milliseconds kConnectionDeadline{2000};
+
+/// Waits until `fd` is ready for `events` or `deadline` passes.
+bool wait_ready(int fd, short events, Clock::time_point deadline) {
+  const auto left = std::chrono::ceil<std::chrono::milliseconds>(deadline - Clock::now());
+  if (left.count() <= 0) return false;
+  pollfd p{};
+  p.fd = fd;
+  p.events = events;
+  return ::poll(&p, 1, static_cast<int>(left.count())) > 0;
+}
+
+bool send_all(int fd, const void* data, std::size_t size, Clock::time_point deadline) {
   const char* p = static_cast<const char*>(data);
   std::size_t sent = 0;
   while (sent < size) {
-    const ssize_t n = ::send(fd, p + sent, size - sent, MSG_NOSIGNAL);
+    if (!wait_ready(fd, POLLOUT, deadline)) return false;  // reader stalled
+    const ssize_t n = ::send(fd, p + sent, size - sent, MSG_NOSIGNAL | MSG_DONTWAIT);
     if (n < 0) {
-      if (errno == EINTR) continue;
+      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
       return false;  // scraper went away — fine
     }
     sent += static_cast<std::size_t>(n);
@@ -30,14 +47,14 @@ bool send_all(int fd, const void* data, std::size_t size) {
   return true;
 }
 
-void send_response(int fd, int status, const char* reason,
-                   const char* content_type, const std::string& body) {
+void send_response(int fd, int status, const char* reason, const char* content_type,
+                   const std::string& body, Clock::time_point deadline) {
   std::string head = "HTTP/1.1 " + std::to_string(status) + " " + reason +
                      "\r\nContent-Type: " + content_type +
                      "\r\nContent-Length: " + std::to_string(body.size()) +
                      "\r\nConnection: close\r\n\r\n";
-  if (send_all(fd, head.data(), head.size())) {
-    send_all(fd, body.data(), body.size());
+  if (send_all(fd, head.data(), head.size(), deadline)) {
+    send_all(fd, body.data(), body.size(), deadline);
   }
 }
 
@@ -116,15 +133,16 @@ void MetricsServer::serve_loop() {
 }
 
 void MetricsServer::handle_connection(int fd) {
+  // One total deadline for the whole exchange: the server handles one
+  // connection at a time, so a client trickling its request (or reading
+  // the response) slowly must not hold /healthz and /metrics hostage.
+  const Clock::time_point deadline = Clock::now() + kConnectionDeadline;
   // Requests are header-only; read to the blank line with a hard cap.
   std::string request;
   char buf[4096];
   while (request.find("\r\n\r\n") == std::string::npos &&
          request.size() < (64u << 10)) {
-    pollfd p{};
-    p.fd = fd;
-    p.events = POLLIN;
-    if (::poll(&p, 1, 2000) <= 0) break;
+    if (!wait_ready(fd, POLLIN, deadline)) break;
     const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
     if (n <= 0) break;
     request.append(buf, static_cast<std::size_t>(n));
@@ -152,20 +170,20 @@ void MetricsServer::handle_connection(int fd) {
 
   if (method != "GET") {
     send_response(fd, 405, "Method Not Allowed", "text/plain",
-                  "method not allowed\n");
+                  "method not allowed\n", deadline);
   } else if (path == "/metrics") {
     send_response(fd, 200, "OK", "text/plain; version=0.0.4",
-                  registry_.render_prometheus());
+                  registry_.render_prometheus(), deadline);
   } else if (path == "/healthz") {
     HealthStatus health;
     if (options_.health) health = options_.health();
     if (health.ok) {
-      send_response(fd, 200, "OK", "text/plain", health.body);
+      send_response(fd, 200, "OK", "text/plain", health.body, deadline);
     } else {
-      send_response(fd, 503, "Service Unavailable", "text/plain", health.body);
+      send_response(fd, 503, "Service Unavailable", "text/plain", health.body, deadline);
     }
   } else {
-    send_response(fd, 404, "Not Found", "text/plain", "not found\n");
+    send_response(fd, 404, "Not Found", "text/plain", "not found\n", deadline);
   }
   ::close(fd);
 }

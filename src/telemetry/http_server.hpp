@@ -10,8 +10,11 @@
 //
 // One accept thread, one connection at a time, 50 ms stop-poll — the
 // same shape as the ingest test's FaultServer, because a scrape every
-// few seconds needs nothing more. The serve thread never touches the
-// data path: rendering takes the registry's registration mutex only.
+// few seconds needs nothing more. Each connection gets a 2 s total
+// deadline (request read plus response write), so a client trickling
+// its request cannot keep /healthz from answering. The serve thread
+// never touches the data path: rendering takes the registry's
+// registration mutex only.
 //
 // The server can also tick a periodic JSON snapshot of the registry to
 // a file (tmp+rename), extending --stats-json from a terminal blob to

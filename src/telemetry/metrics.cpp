@@ -355,6 +355,9 @@ JournalCounters register_journal(MetricsRegistry& registry) {
   c.retention_deletes =
       registry.counter("artemis_journal_retention_deletes_total",
                        "Sealed segments deleted by the retention policy");
+  c.lost_records = registry.counter(
+      "artemis_journal_lost_records_total",
+      "Buffered records dropped because the writer's final close failed");
   return c;
 }
 

@@ -217,6 +217,7 @@ struct JournalCounters {
   Gauge* lag_records = nullptr;  ///< buffered-not-yet-written records
   Counter* compressions = nullptr;       ///< sealed segments gzip-compressed
   Counter* retention_deletes = nullptr;  ///< sealed segments reaped by retention
+  Counter* lost_records = nullptr;  ///< buffered records a failed final close dropped
   bool enabled() const noexcept { return appends != nullptr; }
 };
 JournalCounters register_journal(MetricsRegistry& registry);

@@ -396,6 +396,46 @@ TEST(DetectionAllocTest, SteadyStateIngestFeedIsAllocationFree) {
 
   writer.close();
   EXPECT_EQ(writer.records_written(), 8u * 1001u);
+
+  // Small-read leg: a trickling live feed, ~100-byte reads, so every
+  // feed() appends one partial batch. The only per-append state is the
+  // frames sidecar buffer (one varint per append, drained with the
+  // record buffer); once priming has carried it through a few record-
+  // buffer drains it sits at its high-water mark and the loop is
+  // allocation-free again.
+  std::vector<std::uint8_t> stream;
+  for (int rep = 0; rep < 8; ++rep) stream.insert(stream.end(), window.begin(), window.end());
+  const std::string small_dir = ::testing::TempDir() + "artemis_ingest_alloc_small";
+  std::filesystem::remove_all(small_dir);
+  journal::JournalWriter small_writer(small_dir);
+  ingest::IngestPipeline small_pipeline(small_writer);
+  const auto run_small_cycle = [&] {
+    small_pipeline.begin_source();
+    for (std::size_t i = 0; i < stream.size(); i += 100) {
+      small_pipeline.feed({stream.data() + i, std::min<std::size_t>(100, stream.size() - i)});
+    }
+    return small_pipeline.finish_source();
+  };
+  // ~141 cycles fill the default 256 KiB record buffer once.
+  for (int i = 0; i < 500; ++i) ASSERT_TRUE(run_small_cycle().convert.clean());
+  ASSERT_GT(small_writer.bytes_written(), std::uint64_t{3} * (256u << 10));
+
+  const std::uint64_t batches_before = small_writer.batches_written();
+  const std::size_t small_before = g_allocations.load(std::memory_order_relaxed);
+  for (int i = 0; i < 1000; ++i) {
+    const auto stats = run_small_cycle();
+    if (!stats.convert.clean() || stats.observations_journaled != 64u) {
+      FAIL() << "small-read ingest feed changed shape mid-loop";
+    }
+  }
+  const std::size_t small_after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(small_after - small_before, 0u)
+      << "steady-state small-read ingest feed -> journal append allocated";
+  // One partial batch per read that completed a record: many more
+  // appends than the big-chunk leg's ~3 per cycle.
+  EXPECT_GT(small_writer.batches_written() - batches_before, std::uint64_t{1000} * 20);
+  small_writer.close();
+  EXPECT_EQ(small_writer.records_written(), 64u * 1500u);
 }
 
 TEST(DetectionAllocTest, SteadyStateShardedInlineSubmitIsAllocationFree) {

@@ -105,12 +105,13 @@ TEST(IngestKillTest, RandomSigkillLoopLosesAndDuplicatesNothing) {
   }
 
   const auto args_for = [&](const std::string& journal_dir) {
-    // Small batches and a tight lag bound so durable progress accrues
-    // *within* an archive, not just at archive boundaries.
+    // A tight lag bound so durable progress accrues *within* an archive,
+    // not just at archive boundaries (the pipeline emits once per read,
+    // so each 64-byte dribbled read gives a batch of a few records).
     std::vector<std::string> args = {
-        "--journal", journal_dir, "--batch",  "4",   "--max-lag",
-        "8",         "--policy",  "flush",    "--timeout-ms", "2000",
-        "--backoff-ms", "1",      "--max-backoff-ms", "4",   "--seed", "7"};
+        "--journal", journal_dir, "--max-lag",    "8",    "--policy",
+        "flush",     "--timeout-ms", "2000",      "--backoff-ms", "1",
+        "--max-backoff-ms", "4",  "--seed",       "7"};
     args.insert(args.end(), urls.begin(), urls.end());
     return args;
   };

@@ -122,9 +122,9 @@ TEST(IngestReloadTest, SighupOnboardsATenantWithoutRestart) {
 
   const std::string journal_dir = fresh_dir("reload_journal");
   const std::string stderr_path = fresh_dir("reload_stderr") + ".txt";
-  std::vector<std::string> args = {"--journal", journal_dir, "--batch", "4",
-                                   "--max-lag", "8",          "--policy", "flush",
-                                   "--timeout-ms", "5000",    "--detect", config_path};
+  std::vector<std::string> args = {"--journal", journal_dir, "--max-lag", "8",
+                                   "--policy", "flush",       "--timeout-ms", "5000",
+                                   "--detect", config_path};
   args.insert(args.end(), urls.begin(), urls.end());
 
   const pid_t pid = spawn_ingest(binary, args, stderr_path);

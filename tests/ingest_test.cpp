@@ -13,6 +13,8 @@
 //     journaled + skipped + dropped, with every term surfaced in stats;
 //   * backoff schedules are deterministic per seed and classification
 //     routes 404s to fail-fast, 5xx/resets/stalls to retry.
+//   * latency: a record is journaled and tapped by the feed() call that
+//     completes it, never earlier and never later.
 //
 // (The SIGKILL half of the story — crash-restart resume — lives in
 // tests/ingest_kill_test.cpp, which drives the artemis_ingest binary.)
@@ -20,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -30,6 +33,7 @@
 #include "mrt/mrt.hpp"
 #include "mrt/observation_convert.hpp"
 #include "mrt/stream_reader.hpp"
+#include "pipeline/sharded_detector.hpp"
 
 namespace artemis::ingest {
 namespace {
@@ -279,9 +283,20 @@ TEST_F(FetchSourceTest, WrongContentLengthReadsAsShortBodyAndResumes) {
 // ------------------------------------------------------------ pipeline
 
 TEST(IngestPipelineTest, ChunkFedJournalMatchesWholeFileImport) {
-  const auto window = fixture_window(3);
+  // Byte reads, awkward 7-byte chunks, ~100-byte socket reads and a full
+  // 64 KiB read: batching follows the chunking, the journal segments and
+  // the live-tapped alerts must not.
+  const auto window = fixture_window(400);  // 1600 records, > 64 KiB
+  ASSERT_GT(window.size(), std::size_t{64} << 10);
+  const auto alert_lines = [](const pipeline::ShardedDetector& detector) {
+    std::vector<std::string> lines;
+    for (const auto& alert : detector.merged_alerts()) {
+      lines.push_back(alert.to_string() + " event " + alert.event_time.to_string());
+    }
+    return lines;
+  };
 
-  // Reference: the established import path.
+  // Reference: the established import path, replayed through detection.
   const std::string ref_dir = fresh_dir("pipe_ref");
   {
     const auto src = fs::path(fresh_dir("pipe_ref_src"));
@@ -293,25 +308,41 @@ TEST(IngestPipelineTest, ChunkFedJournalMatchesWholeFileImport) {
     const std::string paths[] = {(src / "w.mrt").string()};
     mrt::import_mrt_files(paths, ref_dir);
   }
-
-  // Pipeline, fed in awkward 7-byte chunks.
-  const std::string dir = fresh_dir("pipe_chunked");
+  pipeline::ShardedDetector ref_detector(ingest_test::make_config());
   {
-    journal::JournalWriter writer(dir);
-    IngestPipeline pipeline(writer);
-    pipeline.begin_source();
-    for (std::size_t i = 0; i < window.size(); i += 7) {
-      const std::size_t n = std::min<std::size_t>(7, window.size() - i);
-      pipeline.feed({window.data() + i, n});
-    }
-    const SourceFeedStats stats = pipeline.finish_source();
-    EXPECT_TRUE(stats.convert.clean());
-    EXPECT_EQ(stats.compression, mrt::Compression::kNone);
-    EXPECT_EQ(stats.bytes_in, window.size());
-    EXPECT_EQ(stats.observations_journaled, stats.convert.observations);
-    writer.close();
+    journal::JournalReader reader(ref_dir);
+    pipeline::ObservationBatch batch;
+    while (reader.read_batch(batch, 4096) > 0) ref_detector.submit_batch(batch.view());
   }
-  EXPECT_EQ(journal_bytes(dir), journal_bytes(ref_dir));
+  const auto ref_alerts = alert_lines(ref_detector);
+  ASSERT_FALSE(ref_alerts.empty());
+
+  for (const std::size_t chunk : {std::size_t{1}, std::size_t{7}, std::size_t{100},
+                                  std::size_t{64} << 10}) {
+    const std::string dir = fresh_dir("pipe_chunked_" + std::to_string(chunk));
+    pipeline::ShardedDetector detector(ingest_test::make_config());
+    {
+      journal::JournalWriter writer(dir);
+      PipelineOptions popts;
+      popts.detection_tap = [&detector](std::span<const feeds::Observation> batch) {
+        detector.submit_batch(batch);
+      };
+      IngestPipeline pipeline(writer, popts);
+      pipeline.begin_source();
+      for (std::size_t i = 0; i < window.size(); i += chunk) {
+        pipeline.feed({window.data() + i, std::min(chunk, window.size() - i)});
+      }
+      const SourceFeedStats stats = pipeline.finish_source();
+      EXPECT_TRUE(stats.convert.clean());
+      EXPECT_EQ(stats.compression, mrt::Compression::kNone);
+      EXPECT_EQ(stats.bytes_in, window.size());
+      EXPECT_EQ(stats.observations_journaled, stats.convert.observations);
+      writer.close();
+    }
+    detector.flush();
+    EXPECT_EQ(journal_bytes(dir), journal_bytes(ref_dir)) << "chunk " << chunk;
+    EXPECT_EQ(alert_lines(detector), ref_alerts) << "chunk " << chunk;
+  }
 }
 
 TEST(IngestPipelineTest, SkipShimDropsExactlyTheResumePrefix) {
@@ -416,6 +447,111 @@ TEST(IngestPipelineTest, TornGzipStreamRecoversPrefixAndAccountsTruncation) {
   EXPECT_TRUE(stats.convert.truncated);
   EXPECT_GT(stats.observations_journaled, 0u);
   EXPECT_EQ(count_journal_records(dir), stats.observations_journaled);
+}
+#endif
+
+// ------------------------------------------------------------ latency contract
+//
+// IngestPipeline::feed() journals and taps every record the chunk
+// completes before it returns: a live hijack waits for its own last byte,
+// never for a batch to fill. (That any chunking still journals and
+// detects exactly like a whole-file import is
+// IngestPipelineTest.ChunkFedJournalMatchesWholeFileImport.)
+
+/// Counts what the detection tap sees, per call.
+struct TapLog {
+  std::uint64_t observations = 0;
+  std::vector<std::uint64_t> batch_ends;  ///< cumulative count after each call
+
+  PipelineOptions options() {
+    PipelineOptions popts;
+    popts.detection_tap = [this](std::span<const feeds::Observation> batch) {
+      observations += batch.size();
+      batch_ends.push_back(observations);
+    };
+    return popts;
+  }
+};
+
+/// Records with 1, 3 and 2 announced prefixes: a batch cut inside a
+/// record shows up as a tap count between record boundaries.
+constexpr std::uint64_t kObservationsPerRecord[] = {1, 3, 2};
+std::vector<std::vector<std::uint8_t>> multi_prefix_records() {
+  using ingest_test::make_update;
+  return {
+      mrt::encode_update_record(make_update(9, 100, {"10.0.0.0/23"}, {9, 3356, 666})),
+      mrt::encode_update_record(make_update(
+          8, 101, {"10.0.1.0/24", "10.0.0.0/24", "192.0.2.0/24"}, {8, 1299, 666})),
+      mrt::encode_update_record(
+          make_update(9, 102, {"2001:db8:dead::/48", "10.0.0.0/23"}, {9, 3356, 667})),
+  };
+}
+
+TEST(IngestLatencyTest, WholeRecordIsTappedBeforeFeedReturns) {
+  const auto records = multi_prefix_records();
+  journal::JournalWriter writer(fresh_dir("latency_whole"));
+  TapLog tap;
+  IngestPipeline pipeline(writer, tap.options());
+  pipeline.begin_source();
+  std::uint64_t expected = 0;
+  for (std::size_t r = 0; r < records.size(); ++r) {
+    pipeline.feed(records[r]);
+    expected += kObservationsPerRecord[r];
+    EXPECT_EQ(tap.observations, expected) << "record " << r;
+    EXPECT_EQ(writer.records_written(), expected) << "record " << r;
+    EXPECT_EQ(tap.batch_ends.size(), r + 1);  // one emission per feed()
+  }
+  pipeline.finish_source();
+  EXPECT_EQ(tap.batch_ends.size(), records.size());  // nothing was held back
+}
+
+TEST(IngestLatencyTest, SplitRecordIsTappedByTheCompletingFeedOnly) {
+  const auto records = multi_prefix_records();
+  std::vector<std::uint8_t> stream;
+  std::vector<std::size_t> record_end;            // byte offset after record r
+  std::vector<std::uint64_t> obs_boundary = {0};  // observations before record r
+  for (std::size_t r = 0; r < records.size(); ++r) {
+    stream.insert(stream.end(), records[r].begin(), records[r].end());
+    record_end.push_back(stream.size());
+    obs_boundary.push_back(obs_boundary.back() + kObservationsPerRecord[r]);
+  }
+
+  journal::JournalWriter writer(fresh_dir("latency_split"));
+  TapLog tap;
+  IngestPipeline pipeline(writer, tap.options());
+  for (std::size_t split = 1; split < stream.size(); ++split) {
+    tap = TapLog{};  // the bound tap keeps pointing at `tap`
+    pipeline.begin_source();
+    pipeline.feed({stream.data(), split});
+    // Exactly the records that ended inside the first chunk, no more.
+    std::size_t complete = 0;
+    while (complete < record_end.size() && record_end[complete] <= split) ++complete;
+    EXPECT_EQ(tap.observations, obs_boundary[complete]) << "split " << split;
+    pipeline.feed({stream.data() + split, stream.size() - split});
+    EXPECT_EQ(tap.observations, obs_boundary.back()) << "split " << split;
+    for (const std::uint64_t end : tap.batch_ends) {
+      EXPECT_NE(std::find(obs_boundary.begin(), obs_boundary.end(), end), obs_boundary.end())
+          << "split " << split << ": batch ends mid-record at " << end;
+    }
+    EXPECT_TRUE(pipeline.finish_source().convert.clean());
+  }
+}
+
+#ifdef ARTEMIS_HAVE_ZLIB
+TEST(IngestLatencyTest, GzipSourceFedInOneCallIsTappedBeforeFinish) {
+  const auto window = fixture_window(8);  // 32 single-prefix records
+  const auto gz = mrt::gzip_compress(window);
+  journal::JournalWriter writer(fresh_dir("latency_gz"));
+  TapLog tap;
+  IngestPipeline pipeline(writer, tap.options());
+  pipeline.begin_source();
+  pipeline.feed(gz);
+  EXPECT_EQ(tap.observations, 32u);
+  const std::size_t calls = tap.batch_ends.size();
+  const SourceFeedStats stats = pipeline.finish_source();
+  EXPECT_EQ(stats.compression, mrt::Compression::kGzip);
+  EXPECT_EQ(stats.convert.observations, 32u);
+  EXPECT_EQ(tap.batch_ends.size(), calls);  // finish_source had nothing left
 }
 #endif
 

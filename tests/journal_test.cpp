@@ -9,8 +9,12 @@
 //     with a foreign format version is refused by name, a missing
 //     middle segment is a sequence-gap error.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -21,6 +25,7 @@
 #include "journal/format.hpp"
 #include "journal/reader.hpp"
 #include "journal/writer.hpp"
+#include "telemetry/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace artemis::journal {
@@ -550,6 +555,49 @@ TEST(JournalWriterTest, LagAccountingTracksBufferedRecords) {
 
   JournalReader reader(dir);
   EXPECT_EQ(read_all(reader).size(), stream.size());
+}
+
+TEST(JournalWriterTest, FailedFinalCloseCountsAndReportsLostRecords) {
+  // The destructor cannot throw, so a final close() that fails drops the
+  // buffered records; the loss must show on the counter and on stderr.
+  // The failure is a file-size limit set in a forked child (with SIGXFSZ
+  // ignored, write(2) fails with EFBIG), so nothing outside it changes.
+  const std::string dir = make_temp_dir("lost");
+  const auto stream = random_stream(91, 50);
+  int err_pipe[2];
+  ASSERT_EQ(::pipe(err_pipe), 0);
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::dup2(err_pipe[1], STDERR_FILENO);
+    telemetry::MetricsRegistry registry;
+    const telemetry::JournalCounters counters = telemetry::register_journal(registry);
+    {
+      JournalWriter writer(dir);
+      writer.set_metrics(counters);
+      writer.append_batch(stream);
+      std::signal(SIGXFSZ, SIG_IGN);
+      rlimit limit{};
+      ::getrlimit(RLIMIT_FSIZE, &limit);
+      limit.rlim_cur = 0;
+      ::setrlimit(RLIMIT_FSIZE, &limit);
+    }
+    ::_exit(counters.lost_records->value() == stream.size() ? 0 : 1);
+  }
+  ::close(err_pipe[1]);
+  std::string err;
+  char buf[256];
+  ssize_t n = 0;
+  while ((n = ::read(err_pipe[0], buf, sizeof(buf))) > 0) {
+    err.append(buf, static_cast<std::size_t>(n));
+  }
+  ::close(err_pipe[0]);
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status)) << err;
+  EXPECT_EQ(WEXITSTATUS(status), 0) << "lost_records counter != 50; stderr: " << err;
+  EXPECT_NE(err.find("50 buffered records lost"), std::string::npos) << err;
+  EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
 }
 
 TEST(JournalCorruptionTest, SequenceGapIsAnError) {

@@ -13,11 +13,18 @@
 //     including a non-empty artemis_detection_delay_seconds histogram.
 #include "telemetry/metrics.hpp"
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "ingest/fault_server.hpp"
@@ -233,14 +240,14 @@ struct FetchResult {
   std::string body;
 };
 
-FetchResult fetch(const std::string& url_text) {
+FetchResult fetch(const std::string& url_text, int io_timeout_ms = 2000) {
   const auto url = ingest::parse_url(url_text);
   EXPECT_TRUE(url.has_value()) << url_text;
   FetchResult out;
   if (!url) return out;
   ingest::HttpGetOptions options;
   options.connect_timeout_ms = 2000;
-  options.io_timeout_ms = 2000;
+  options.io_timeout_ms = io_timeout_ms;
   const ingest::HttpResult result =
       ingest::http_get(*url, options, [&](std::span<const std::uint8_t> chunk) {
         out.body.append(reinterpret_cast<const char*>(chunk.data()),
@@ -295,6 +302,48 @@ TEST(MetricsServerTest, HealthzReports503OnLedgerViolation) {
 
   ledger.converted->add(1);  // ledger balances again
   EXPECT_EQ(fetch(server.url_for("/healthz")).status, 200);
+}
+
+TEST(MetricsServerTest, HealthzAnswersWhileASlowClientTrickles) {
+  // A client sending one request byte every 100 ms never trips a per-recv
+  // poll; only the 2 s per-connection deadline stops it from holding the
+  // single-threaded server for as long as it keeps trickling.
+  MetricsRegistry registry;
+  MetricsServer server(registry, MetricsServerOptions{});
+
+  const int slow = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(slow, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<std::uint16_t>(server.port()));
+  ASSERT_EQ(::connect(slow, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  // The whole request would take ~22 s to trickle in.
+  const std::string request = "GET /metrics HTTP/1.1\r\nX-Pad: " + std::string(200, 'a');
+  std::atomic<bool> stop{false};
+  std::atomic<std::size_t> sent{0};
+  std::thread trickler([&] {
+    for (std::size_t i = 0; i < request.size() && !stop.load(); ++i) {
+      if (::send(slow, &request[i], 1, MSG_NOSIGNAL) != 1) break;
+      sent.store(i + 1);
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    }
+  });
+  // Let the server accept the slow connection first.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+  const auto start = std::chrono::steady_clock::now();
+  const FetchResult health = fetch(server.url_for("/healthz"), 10000);
+  const auto waited = std::chrono::steady_clock::now() - start;
+  const std::size_t sent_by_then = sent.load();
+  stop.store(true);
+  trickler.join();
+  ::close(slow);
+
+  EXPECT_EQ(health.status, 200);
+  EXPECT_EQ(health.body, "ok\n");
+  EXPECT_LT(sent_by_then, request.size());  // answered mid-trickle
+  EXPECT_LT(waited, std::chrono::milliseconds(5000));
 }
 
 TEST(MetricsServerTest, PeriodicSnapshotFileIsWrittenAtomically) {

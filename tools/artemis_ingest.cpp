@@ -28,7 +28,6 @@
 //                       shedding) (default flush)
 //   --seed N            backoff jitter seed (default 1)
 //   --source NAME       source-name prefix (default "mrt")
-//   --batch N           observations per appended batch (default 4096)
 //   --stats-json        print the full per-source stats JSON on stdout
 //                       (including a telemetry snapshot); also printed on
 //                       fatal-error exits so post-mortem ledgers are
@@ -49,10 +48,12 @@
 //                       in a clean run its alerts match a later journal
 //                       replay. Alert lines go to stderr ("alert: ...").
 //                       SIGHUP re-reads CONFIG and swaps the ownership
-//                       table in at the next batch boundary — incremental
-//                       reload, no restart, no re-replay; a config that
-//                       fails to parse is logged and the previous table
-//                       stays live (see docs/operations.md).
+//                       table in at the next batch boundary (batches
+//                       follow the reads, so: at the next record) —
+//                       incremental reload, no restart, no re-replay; a
+//                       config that fails to parse is logged and the
+//                       previous table stays live (see
+//                       docs/operations.md).
 //   --detect-shards N   detection shard count (default 1), with --detect
 //   --detect-threaded   one worker thread per shard (batch-granular ring
 //                       handoff); the ingest thread is the sole producer
@@ -108,7 +109,7 @@ artemis::core::Config load_detect_config(const std::string& path) {
                "[--retain POLICY] [--no-index] [--retries N] "
                "[--backoff-ms N] [--max-backoff-ms N] [--timeout-ms N] "
                "[--max-lag N] [--policy flush|drop] [--seed N] [--source NAME] "
-               "[--batch N] [--stats-json] [--metrics-port N] "
+               "[--stats-json] [--metrics-port N] "
                "[--metrics-snapshot FILE [--metrics-interval-ms N]] "
                "[--detect CONFIG.json "
                "[--detect-shards N] [--detect-threaded "
@@ -201,9 +202,6 @@ int main(int argc, char** argv) {
           static_cast<std::uint64_t>(parse_long("--seed", flag_value("--seed"), 0));
     } else if (arg == "--source") {
       options.pipeline.convert.source_prefix = flag_value("--source");
-    } else if (arg == "--batch") {
-      options.pipeline.convert.batch_capacity = static_cast<std::size_t>(
-          parse_long("--batch", flag_value("--batch"), 1));
     } else if (arg == "--stats-json") {
       stats_json = true;
     } else if (arg == "--metrics-port") {
